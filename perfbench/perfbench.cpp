@@ -7,8 +7,9 @@
 //
 // A run has two parts:
 //   timed   fresh set-up + run_until(horizon), repeated until --seconds of
-//           wall time have passed (at least kMinReps times). End-to-end
-//           metrics come only from these repetitions.
+//           wall time have passed (at least kMinReps times), each followed
+//           by set-up-only rounds. End-to-end metrics come only from this
+//           part.
 //   traced  one more repetition that steps the fabric an epoch at a time,
 //           reads the public counters after every step and records spans
 //           in memory. Per-layer metrics come from it; its fingerprint
@@ -21,6 +22,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -212,89 +214,65 @@ Workload make_workload(const std::string& name, bool smoke) {
 // ---------------------------------------------------------------------------
 
 /// Every public counter the fabrics expose, read after (or during) a run.
-struct Counters {
-  std::uint64_t events_executed{0};
-  std::uint64_t events_dispatched{0};
-  std::uint64_t deliveries{0};
-  std::uint64_t delivery_dispatches{0};
-  std::int64_t matches{0};
-  std::int64_t match_slots_offered{0};
-  std::int64_t match_slots_used{0};
-  std::int64_t piggyback_packets{0};
-  std::int64_t ctrl_classified{0};
-  std::int64_t ctrl_dropped{0};
-  std::int64_t ctrl_delayed{0};
-  std::int64_t ctrl_duplicated{0};
-  std::int64_t degraded_slots{0};
-  Bytes fallback_bytes{0};
-  Bytes data_dropped_bytes{0};
-  Bytes data_corrupted_bytes{0};
-  Bytes retx_bytes{0};
-  std::int64_t rto_fires{0};
-  std::int64_t spurious_retx{0};
-  Bytes abandoned_bytes{0};
-  Bytes relay_bytes{0};
-  Bytes backlog{0};
-  std::uint64_t fct_samples{0};
-
-  void add(const Counters& o) {
-    events_executed += o.events_executed;
-    events_dispatched += o.events_dispatched;
-    deliveries += o.deliveries;
-    delivery_dispatches += o.delivery_dispatches;
-    matches += o.matches;
-    match_slots_offered += o.match_slots_offered;
-    match_slots_used += o.match_slots_used;
-    piggyback_packets += o.piggyback_packets;
-    ctrl_classified += o.ctrl_classified;
-    ctrl_dropped += o.ctrl_dropped;
-    ctrl_delayed += o.ctrl_delayed;
-    ctrl_duplicated += o.ctrl_duplicated;
-    degraded_slots += o.degraded_slots;
-    fallback_bytes += o.fallback_bytes;
-    data_dropped_bytes += o.data_dropped_bytes;
-    data_corrupted_bytes += o.data_corrupted_bytes;
-    retx_bytes += o.retx_bytes;
-    rto_fires += o.rto_fires;
-    spurious_retx += o.spurious_retx;
-    abandoned_bytes += o.abandoned_bytes;
-    relay_bytes += o.relay_bytes;
-    backlog += o.backlog;
-    fct_samples += o.fct_samples;
-  }
+/// Each is reported under its per-layer metric name; kCounterMetrics lists
+/// them in Ctr order.
+enum Ctr : std::size_t {
+  kEventsExecuted, kEventsDispatched, kDeliveries, kDeliveryDispatches,
+  kMatches, kMatchSlotsOffered, kMatchSlotsUsed, kPiggybackPackets,
+  kCtrlClassified, kCtrlDropped, kCtrlDelayed, kCtrlDuplicated,
+  kDegradedSlots, kFallbackBytes, kDataDroppedBytes, kDataCorruptedBytes,
+  kRetxBytes, kRtoFires, kSpuriousRetx, kAbandonedBytes, kRelayBytes,
+  kBacklog, kFctSamples, kNumCounters
 };
+constexpr std::pair<const char*, const char*> kCounterMetrics[kNumCounters] = {
+    {"sim.events_executed", "count"},   {"sim.events_dispatched", "count"},
+    {"tor.deliveries", "count"},        {"tor.delivery_dispatches", "count"},
+    {"core.matches", "count"},          {"core.match_slots_offered", "count"},
+    {"core.match_slots_used", "count"}, {"core.piggyback_packets", "count"},
+    {"core.ctrl_classified", "count"},  {"core.ctrl_dropped", "count"},
+    {"core.ctrl_delayed", "count"},     {"core.ctrl_duplicated", "count"},
+    {"core.degraded_slots", "count"},   {"core.fallback_bytes", "bytes"},
+    {"core.data_dropped_bytes", "bytes"},
+    {"core.data_corrupted_bytes", "bytes"},
+    {"tor.retx_bytes", "bytes"},        {"tor.rto_fires", "count"},
+    {"tor.spurious_retx", "count"},     {"tor.abandoned_bytes", "bytes"},
+    {"oblivious.relay_bytes", "bytes"}, {"tor.backlog_bytes_end", "bytes"},
+    {"stats.fct_samples", "count"},
+};
+using Counters = std::array<std::int64_t, kNumCounters>;
 
 Counters read_counters(FabricSim& f) {
-  Counters c;
-  c.events_executed = f.events_executed();
-  c.events_dispatched = f.events_dispatched();
-  c.deliveries = f.deliveries();
-  c.delivery_dispatches = f.delivery_dispatches();
-  c.relay_bytes = f.goodput().relay_bytes();
-  c.backlog = f.total_backlog();
-  c.fct_samples = f.fct().completed();
+  Counters c{};
+  const auto i64 = [](auto v) { return static_cast<std::int64_t>(v); };
+  c[kEventsExecuted] = i64(f.events_executed());
+  c[kEventsDispatched] = i64(f.events_dispatched());
+  c[kDeliveries] = i64(f.deliveries());
+  c[kDeliveryDispatches] = i64(f.delivery_dispatches());
+  c[kRelayBytes] = f.goodput().relay_bytes();
+  c[kBacklog] = f.total_backlog();
+  c[kFctSamples] = i64(f.fct().completed());
   if (const auto* n = dynamic_cast<const NegotiatorFabric*>(&f)) {
-    c.matches = n->total_matches();
-    c.match_slots_offered = n->match_slots_offered();
-    c.match_slots_used = n->match_slots_used();
-    c.piggyback_packets = n->piggyback_packets();
+    c[kMatches] = n->total_matches();
+    c[kMatchSlotsOffered] = n->match_slots_offered();
+    c[kMatchSlotsUsed] = n->match_slots_used();
+    c[kPiggybackPackets] = n->piggyback_packets();
     if (const ControlChannel* ctrl = n->control_channel()) {
-      c.ctrl_classified = ctrl->classified();
-      c.ctrl_dropped = ctrl->dropped();
-      c.ctrl_delayed = ctrl->delayed();
-      c.ctrl_duplicated = ctrl->duplicated();
+      c[kCtrlClassified] = ctrl->classified();
+      c[kCtrlDropped] = ctrl->dropped();
+      c[kCtrlDelayed] = ctrl->delayed();
+      c[kCtrlDuplicated] = ctrl->duplicated();
     }
-    c.degraded_slots = n->degraded_slots();
-    c.fallback_bytes = n->fallback_bytes();
+    c[kDegradedSlots] = n->degraded_slots();
+    c[kFallbackBytes] = n->fallback_bytes();
     if (const DataChannel* d = n->data_channel()) {
-      c.data_dropped_bytes = d->dropped_bytes();
-      c.data_corrupted_bytes = d->corrupted_bytes();
+      c[kDataDroppedBytes] = d->dropped_bytes();
+      c[kDataCorruptedBytes] = d->corrupted_bytes();
     }
     if (const HostTransport* t = n->host_transport()) {
-      c.retx_bytes = t->retransmitted_bytes();
-      c.rto_fires = t->rto_fires();
-      c.spurious_retx = t->spurious_retx();
-      c.abandoned_bytes = t->abandoned_bytes();
+      c[kRetxBytes] = t->retransmitted_bytes();
+      c[kRtoFires] = t->rto_fires();
+      c[kSpuriousRetx] = t->spurious_retx();
+      c[kAbandonedBytes] = t->abandoned_bytes();
     }
   }
   return c;
@@ -354,7 +332,7 @@ struct RunRecord {
   double goodput{0};
   double match_ratio_mean{0};
   bool has_matching{false};
-  Counters counters;
+  Counters counters{};
   std::uint64_t fingerprint{0};
   std::string invariant_error;  // empty when every output check passed
   std::vector<double> epoch_wall_us;  // traced runs only
@@ -380,12 +358,12 @@ void add_span(std::vector<Span>* spans, const char* name, int tid,
 /// were offered; goodput is a share of the host aggregate.
 std::string check_invariants(const std::vector<Flow>& flows, FabricSim& fab,
                              const RunRecord& r) {
-  if (r.counters.fct_samples == 0) return "no flow completed";
+  if (r.counters[kFctSamples] == 0) return "no flow completed";
   if (r.mice.count == 0) return "no mice flow completed in the window";
   if (!(r.goodput > 0.0 && r.goodput <= 1.0 + 1e-9)) {
     return "goodput outside (0, 1]";
   }
-  if (r.counters.backlog < 0) return "negative backlog";
+  if (r.counters[kBacklog] < 0) return "negative backlog";
   Bytes completed_bytes = 0;
   for (const FctSample& s : fab.fct().samples()) {
     if (s.flow < 0 || static_cast<std::size_t>(s.flow) >= flows.size()) {
@@ -402,40 +380,69 @@ std::string check_invariants(const std::vector<Flow>& flows, FabricSim& fab,
   return {};
 }
 
+/// One point's set-up: the generated flows and the fabric they were added
+/// to, with a timestamp at each layer boundary.
+struct SetUp {
+  NetworkConfig cfg;
+  std::vector<Flow> flows;
+  std::unique_ptr<FabricSim> fab;
+  Clock::time_point t0, t1, t2, t3;  // generate | make_fabric | add_flows
+};
+
+SetUp set_up(const Spec& spec, std::uint64_t seed) {
+  SetUp u;
+  u.cfg = spec.cfg;
+  u.cfg.seed = seed;
+  u.t0 = Clock::now();
+  WorkloadGenerator gen(SizeDistribution::hadoop(), u.cfg.num_tors,
+                        u.cfg.host_rate(), spec.load, Rng(seed));
+  u.flows = gen.generate(0, spec.horizon);
+  u.t1 = Clock::now();
+  u.fab = make_fabric(u.cfg);
+  u.t2 = Clock::now();
+  u.fab->add_flows(u.flows);
+  u.t3 = Clock::now();
+  return u;
+}
+
+/// Host seconds to set up every point of the workload once, one after the
+/// other; the fabrics are discarded untimed.
+double setup_round(const std::vector<Spec>& points, std::uint64_t seed) {
+  double s = 0;
+  for (const Spec& spec : points) {
+    const SetUp u = set_up(spec, seed);
+    s += std::chrono::duration<double>(u.t3 - u.t0).count();
+  }
+  return s;
+}
+
 RunRecord run_point(const Spec& spec, std::uint64_t seed,
                     std::vector<Span>* spans) {
   RunRecord r;
   r.tid = thread_index();
-  NetworkConfig cfg = spec.cfg;
-  cfg.seed = seed;
+  const SetUp u = set_up(spec, seed);
+  const NetworkConfig& cfg = u.cfg;
+  const std::vector<Flow>& flows = u.flows;
+  FabricSim* fab = u.fab.get();
   const Nanos horizon = spec.horizon;
-
-  const auto t0 = Clock::now();
-  r.start = t0;
-  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                        cfg.host_rate(), spec.load, Rng(seed));
-  const std::vector<Flow> flows = gen.generate(0, horizon);
-  const auto t1 = Clock::now();
-  std::unique_ptr<FabricSim> fab = make_fabric(cfg);
-  const auto t2 = Clock::now();
-  fab->add_flows(flows);
-  const auto t3 = Clock::now();
-  r.generate_s = std::chrono::duration<double>(t1 - t0).count();
-  r.make_fabric_s = std::chrono::duration<double>(t2 - t1).count();
-  r.add_flows_s = std::chrono::duration<double>(t3 - t2).count();
+  r.start = u.t0;
+  r.generate_s = std::chrono::duration<double>(u.t1 - u.t0).count();
+  r.make_fabric_s = std::chrono::duration<double>(u.t2 - u.t1).count();
+  r.add_flows_s = std::chrono::duration<double>(u.t3 - u.t2).count();
   r.rss_after_setup_mb = current_rss_mb();
   r.flows = flows.size();
   for (const Flow& f : flows) r.offered_bytes += f.size;
-  add_span(spans, "workload.generate", r.tid, t0, t1,
+  add_span(spans, "workload.generate", r.tid, u.t0, u.t1,
            {{"flows", static_cast<double>(flows.size())}});
-  add_span(spans, "engine.make_fabric", r.tid, t1, t2);
-  add_span(spans, "engine.add_flows", r.tid, t2, t3);
+  add_span(spans, "engine.make_fabric", r.tid, u.t1, u.t2);
+  add_span(spans, "engine.add_flows", r.tid, u.t2, u.t3);
   if (fab->sim_threads() != 1) {
     r.invariant_error = "fabric did not resolve to one sim thread";
   }
 
   fab->fct().set_measure_from(horizon / 2);
   fab->goodput().set_measure_interval(horizon / 2, horizon);
+  const auto run_start = Clock::now();
   if (spans == nullptr) {
     fab->run_until(horizon);
   } else {
@@ -450,22 +457,21 @@ RunRecord run_point(const Spec& spec, std::uint64_t seed,
       const Counters now = read_counters(*fab);
       r.epoch_wall_us.push_back(
           std::chrono::duration<double, std::micro>(e1 - e0).count());
-      add_span(
-          spans, "engine.epoch", r.tid, e0, e1,
-          {{"sim_ns", static_cast<double>(t)},
-           {"events", static_cast<double>(now.events_executed -
-                                          prev.events_executed)},
-           {"deliveries",
-            static_cast<double>(now.deliveries - prev.deliveries)},
-           {"matches", static_cast<double>(now.matches - prev.matches)},
-           {"completed",
-            static_cast<double>(now.fct_samples - prev.fct_samples)},
-           {"backlog_bytes", static_cast<double>(now.backlog)}});
+      const auto delta = [&](Ctr k) {
+        return static_cast<double>(now[k] - prev[k]);
+      };
+      add_span(spans, "engine.epoch", r.tid, e0, e1,
+               {{"sim_ns", static_cast<double>(t)},
+                {"events", delta(kEventsExecuted)},
+                {"deliveries", delta(kDeliveries)},
+                {"matches", delta(kMatches)},
+                {"completed", delta(kFctSamples)},
+                {"backlog_bytes", static_cast<double>(now[kBacklog])}});
       prev = now;
     }
   }
   const auto t4 = Clock::now();
-  r.run_s = std::chrono::duration<double>(t4 - t3).count();
+  r.run_s = std::chrono::duration<double>(t4 - run_start).count();
 
   r.mice = fab->fct().mice_summary();
   const FctSummary all = fab->fct().all_summary();
@@ -486,21 +492,7 @@ RunRecord run_point(const Spec& spec, std::uint64_t seed,
     h.mix(static_cast<std::int64_t>(s.fct));
     h.mix(static_cast<std::int64_t>(s.group));
   }
-  const Counters& c = r.counters;
-  for (const std::uint64_t v :
-       {c.events_executed, c.events_dispatched, c.deliveries,
-        c.delivery_dispatches, c.fct_samples}) {
-    h.mix(v);
-  }
-  for (const std::int64_t v :
-       {c.matches, c.match_slots_offered, c.match_slots_used,
-        c.piggyback_packets, c.ctrl_classified, c.ctrl_dropped,
-        c.ctrl_delayed, c.ctrl_duplicated, c.degraded_slots,
-        c.fallback_bytes, c.data_dropped_bytes, c.data_corrupted_bytes,
-        c.retx_bytes, c.rto_fires, c.spurious_retx, c.abandoned_bytes,
-        c.relay_bytes, c.backlog}) {
-    h.mix(v);
-  }
+  for (const std::int64_t v : r.counters) h.mix(v);
   for (const double v : {r.mice.p99_ns, r.mice.p50_ns, r.mice.mean_ns,
                          all.p99_ns, all.p50_ns, r.goodput,
                          r.match_ratio_mean}) {
@@ -710,13 +702,20 @@ int main(int argc, char** argv) {
   const Workload w = make_workload(workload_name, smoke);
   if (w.points.empty() || !have_seed || seconds < 0) return usage();
 
-  // --- Timed part: untraced passes until `seconds` have passed. ---
+  // --- Timed part: untraced passes until `seconds` have passed. Each is
+  // followed by set-up rounds, which give setup_s: a pass's own set-ups
+  // are few, and on the sweep they share the host with running points. ---
   constexpr std::size_t kMinReps = 3;
+  constexpr int kSetupRoundsPerPass = 3;
   std::vector<Pass> passes;
+  std::vector<double> setup_rounds;
   const auto timed_start = Clock::now();
   const double cpu_start = cpu_seconds();
   while (passes.size() < kMinReps || since(timed_start) < seconds) {
     passes.push_back(run_pass(w, seed, nullptr));
+    for (int i = 0; i < kSetupRoundsPerPass; ++i) {
+      setup_rounds.push_back(setup_round(w.points, seed));
+    }
   }
   const double timed_wall = since(timed_start);
   const double cpu_wall_ratio = (cpu_seconds() - cpu_start) / timed_wall;
@@ -749,18 +748,12 @@ int main(int argc, char** argv) {
   // --- End-to-end metrics from the timed passes. ---
   const double sim_ns = pass_sim_ns(w);
   std::vector<double> throughput;
-  std::vector<double> setup;
   std::vector<double> timed_run_walls;
   std::vector<double> peak_rss;
   for (const Pass& p : passes) {
     peak_rss.push_back(p.peak_rss_mb);
-    double setup_s = 0;
     double run_s = 0;
-    for (const RunRecord& r : p.records) {
-      setup_s += r.setup_s();
-      run_s += r.run_s;
-    }
-    setup.push_back(setup_s);
+    for (const RunRecord& r : p.records) run_s += r.run_s;
     // A single run's timed part is its run_until; a sweep's is the whole
     // grid's wall time ("wall time for the whole figure sweep").
     const double timed_s = w.sweep ? p.wall_s : run_s;
@@ -776,11 +769,13 @@ int main(int argc, char** argv) {
     goodputs.push_back(r.goodput);
   }
   std::vector<Metric> metrics = {
-      // Co-tenants on a shared host only ever slow a pass down, and they
-      // come and go over seconds, so the faster passes show the
-      // simulator's own cost: report the upper quartile of the passes.
-      {"sim_ns_per_wall_s", percentile(throughput, 75), "ns/s"},
-      {"setup_s", median(setup), "s"},
+      // On a shared host the simulator runs in contended stretches, whose
+      // speed recurs at one level in every run, and quieter ones, whose
+      // speed depends on what co-tenants do. Report the contended level:
+      // the slowest pass, and the 90th-percentile set-up round (a round is
+      // short enough that one stall could make it the slowest).
+      {"sim_ns_per_wall_s", percentile(throughput, 0), "ns/s"},
+      {"setup_s", percentile(setup_rounds, 90), "s"},
       {"peak_rss_mb", median(peak_rss), "MB"},
       // Simulated figures repeat on every pass. The sweep reports its
       // median point's FCTs and the mean goodput over its points.
@@ -790,7 +785,7 @@ int main(int argc, char** argv) {
   };
 
   // --- Per-layer metrics from the traced pass. ---
-  Counters c;
+  Counters c{};
   double gen_s = 0, make_s = 0, add_s = 0, summarize_s = 0;
   double flows = 0, offered = 0;
   std::vector<double> epoch_walls;
@@ -798,7 +793,7 @@ int main(int argc, char** argv) {
   std::vector<double> match_ratios;
   double busy_s = 0;
   for (const RunRecord& r : traced.records) {
-    c.add(r.counters);
+    for (std::size_t k = 0; k < kNumCounters; ++k) c[k] += r.counters[k];
     gen_s += r.generate_s;
     make_s += r.make_fabric_s;
     add_s += r.add_flows_s;
@@ -840,51 +835,32 @@ int main(int argc, char** argv) {
       {"engine.sweep_pool_busy_frac",
        w.sweep ? ratio(busy_s, sweep_threads() * traced.wall_s) : 0.0,
        "ratio"},
-      {"sim.events_executed", d(c.events_executed), "count"},
-      {"sim.events_dispatched", d(c.events_dispatched), "count"},
       {"sim.events_per_dispatch",
-       ratio(d(c.events_executed), d(c.events_dispatched)), "ratio"},
-      {"core.matches", d(c.matches), "count"},
+       ratio(d(c[kEventsExecuted]), d(c[kEventsDispatched])), "ratio"},
       {"core.match_ratio_mean", mean(match_ratios), "ratio"},
-      {"core.match_slots_offered", d(c.match_slots_offered), "count"},
-      {"core.match_slots_used", d(c.match_slots_used), "count"},
       {"core.match_slot_use_frac",
-       ratio(d(c.match_slots_used), d(c.match_slots_offered)), "ratio"},
-      {"core.piggyback_packets", d(c.piggyback_packets), "count"},
-      {"core.ctrl_classified", d(c.ctrl_classified), "count"},
-      {"core.ctrl_dropped", d(c.ctrl_dropped), "count"},
-      {"core.ctrl_delayed", d(c.ctrl_delayed), "count"},
-      {"core.ctrl_duplicated", d(c.ctrl_duplicated), "count"},
-      {"core.degraded_slots", d(c.degraded_slots), "count"},
-      {"core.fallback_bytes", d(c.fallback_bytes), "bytes"},
-      {"core.data_dropped_bytes", d(c.data_dropped_bytes), "bytes"},
-      {"core.data_corrupted_bytes", d(c.data_corrupted_bytes), "bytes"},
-      {"tor.deliveries", d(c.deliveries), "count"},
-      {"tor.delivery_dispatches", d(c.delivery_dispatches), "count"},
+       ratio(d(c[kMatchSlotsUsed]), d(c[kMatchSlotsOffered])), "ratio"},
       {"tor.deliveries_per_dispatch",
-       ratio(d(c.deliveries), d(c.delivery_dispatches)), "ratio"},
-      {"tor.backlog_bytes_end", d(c.backlog), "bytes"},
-      {"tor.retx_bytes", d(c.retx_bytes), "bytes"},
-      {"tor.rto_fires", d(c.rto_fires), "count"},
-      {"tor.spurious_retx", d(c.spurious_retx), "count"},
-      {"tor.abandoned_bytes", d(c.abandoned_bytes), "bytes"},
+       ratio(d(c[kDeliveries]), d(c[kDeliveryDispatches])), "ratio"},
       // Spurious copies are counted per ARQ unit, retransmits in bytes;
       // units are converted at one full scheduled payload each.
       {"tor.retx_useful_frac",
-       c.retx_bytes > 0
-           ? std::clamp(1.0 - d(c.spurious_retx) *
+       c[kRetxBytes] > 0
+           ? std::clamp(1.0 - d(c[kSpuriousRetx]) *
                                   d(w.points[0].cfg.scheduled_payload_bytes()) /
-                                  d(c.retx_bytes),
+                                  d(c[kRetxBytes]),
                         0.0, 1.0)
            : 1.0,
        "ratio"},
-      {"oblivious.relay_bytes", d(c.relay_bytes), "bytes"},
       {"stats.summarize_s", summarize_s, "s"},
-      {"stats.fct_samples", d(c.fct_samples), "count"},
       {"trace.overhead_frac", traced_timed_s / median(timed_run_walls) - 1.0,
        "ratio"},
   };
   metrics.insert(metrics.end(), layers.begin(), layers.end());
+  for (std::size_t k = 0; k < kNumCounters; ++k) {
+    metrics.push_back(
+        {kCounterMetrics[k].first, d(c[k]), kCounterMetrics[k].second});
+  }
 
   for (const Metric& m : metrics) {
     if (!std::isfinite(m.value)) {
@@ -932,6 +908,10 @@ int main(int argc, char** argv) {
   std::printf("\"pass_sim_ns_per_wall_s\": [");
   for (std::size_t i = 0; i < throughput.size(); ++i) {
     std::printf("%s%.17g", i == 0 ? "" : ", ", throughput[i]);
+  }
+  std::printf("], \"setup_round_s\": [");
+  for (std::size_t i = 0; i < setup_rounds.size(); ++i) {
+    std::printf("%s%.17g", i == 0 ? "" : ", ", setup_rounds[i]);
   }
   std::printf("], ");
   std::printf("\"fingerprint\": \"%s\", \"traced_fingerprint\": \"%s\", ",

@@ -26,10 +26,6 @@ from pathlib import Path
 ROOT = Path.cwd()
 BENCH_DIR = Path(__file__).resolve().parent
 WORKLOADS = ("neg-parallel-heavy", "neg-thinclos-lossy", "fig9-sweep")
-# Knobs the simulator and its harnesses read from the environment; cleared
-# so a stray variable cannot make a run measure a different program.
-PINNED_ENV = ("NEG_SIM_THREADS", "NEG_BENCH_THREADS", "NEG_DURATION_MS")
-PINNED_ENV_PREFIX = "NEG_PERF_"
 RUN_TIMEOUT_S = 170
 
 
@@ -41,11 +37,6 @@ def fail(message):
 def build_dir():
     base = Path(os.environ.get("CARGO_TARGET_DIR") or ".bench_build")
     return (base if base.is_absolute() else ROOT / base) / "perfbench"
-
-
-def clean_env():
-    return {k: v for k, v in os.environ.items()
-            if k not in PINNED_ENV and not k.startswith(PINNED_ENV_PREFIX)}
 
 
 def build(out):
@@ -61,8 +52,8 @@ def build(out):
     steps.append(["cmake", "--build", str(out), "-j", jobs])
     for cmd in steps:
         # Build chatter goes to stderr: stdout carries only results.
-        if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr,
-                          env=clean_env()).returncode != 0:
+        if subprocess.run(cmd, stdout=sys.stderr,
+                          stderr=sys.stderr).returncode != 0:
             fail("build failed: " + " ".join(cmd))
     return out / "perfbench"
 
@@ -115,8 +106,9 @@ def main():
 
     start = time.monotonic()
     try:
+        # The binary itself clears the simulator's environment knobs.
         proc = subprocess.run(cmd, capture_output=True, text=True,
-                              env=clean_env(), timeout=RUN_TIMEOUT_S)
+                              timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         fail(f"{args.workload} did not finish within {RUN_TIMEOUT_S} s")
     sys.stderr.write(proc.stderr)
@@ -145,7 +137,7 @@ def main():
 
     info = {k: run[k] for k in ("workload", "seed", "host", "timed_passes",
                                 "timed_wall_s", "pass_sim_ns_per_wall_s",
-                                "fingerprint",
+                                "setup_round_s", "fingerprint",
                                 "traced_fingerprint", "errors")}
     info["wall_s"] = round(time.monotonic() - start, 3)
     info["trace_file"] = str(trace_file) if trace_file else None
