@@ -5,6 +5,20 @@
 #include "stats/resilience_recorder.h"
 
 namespace negotiator {
+namespace {
+
+/// Drops the consumed prefix [0, head) of a head-consumed queue once it is
+/// at least as long as the live rest, so each element moves at most as
+/// often as an element is consumed: amortized O(1) per pop, and the
+/// vector stays within twice its live entries.
+template <typename T>
+void compact(std::vector<T>& v, std::size_t& head) {
+  if (head * 2 < v.size()) return;
+  v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(head));
+  head = 0;
+}
+
+}  // namespace
 
 HostTransport::HostTransport(const NetworkConfig& config, EventQueue* events)
     : num_tors_(config.num_tors),
@@ -48,13 +62,10 @@ std::uint32_t HostTransport::on_transmit(std::int32_t flow, TorId src,
     f.rto = base_rto_ns_;
   }
   NEG_ASSERT(f.src == src && f.dst == dst, "flow endpoints changed");
-  const auto idx = static_cast<std::uint32_t>(f.units.size());
-  f.units.push_back(Unit{bytes, now, 1, kInFlight, false});
+  const std::uint32_t idx = f.end();
+  f.units.push_back(Unit{bytes, now});
   unresolved_bytes_ += bytes;
-  if (f.inflight_head == f.inflight.size()) {  // drained: recycle storage
-    f.inflight.clear();
-    f.inflight_head = 0;
-  }
+  compact(f.inflight, f.inflight_head);
   f.inflight.push_back(InflightEntry{idx, now});
   if (!f.timer_armed) arm_timer(f, flow, now + f.rto);
   return idx + 1;
@@ -65,38 +76,49 @@ bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
   NEG_ASSERT(seq > 0, "delivery without a sequence number");
   FlowState& f = flow_state(flow);
   const std::uint32_t idx = seq - 1;
-  NEG_ASSERT(idx < f.units.size(), "delivery for an unknown unit");
-  Unit& u = f.units[idx];
+  // Below the window the unit is acked and delivered, so this copy can
+  // only duplicate a retransmission (the data plane never copies a
+  // chunk); its size comes from the resent record.
+  const bool below = idx < f.cum_tx;
+  NEG_ASSERT(below || idx < f.end(), "delivery for an unknown unit");
+  Unit* u = below ? nullptr : &f.at(idx);
   // An ARQ unit is indivisible: a partial arrival means something split
   // a seq-carrying chunk in transit, which the conservation ledger
   // cannot represent.
-  NEG_ASSERT(bytes == u.bytes, "partial delivery of an ARQ unit");
-  if (u.delivered_rx || u.state == kAbandoned) {
+  NEG_ASSERT(bytes == (below ? below_window_bytes(f, idx) : u->bytes),
+             "partial delivery of an ARQ unit");
+  if (below || u->delivered_rx || u->state == kAbandoned) {
     // Duplicate (a spurious retransmission's copy) or a copy of a unit
     // the sender already gave up on: the receiver discards it.
     ++spurious_retx_;
     if (recorder_) recorder_->on_spurious_retx();
     return false;
   }
-  u.delivered_rx = true;
+  u->delivered_rx = true;
   unresolved_bytes_ -= bytes;
   delivered_bytes_ += bytes;
-  while (f.cum_rx < f.units.size() && f.units[f.cum_rx].delivered_rx) {
-    ++f.cum_rx;
-  }
+  while (f.cum_rx < f.end() && f.at(f.cum_rx).delivered_rx) ++f.cum_rx;
   const Nanos effective = now + prop_delay_ns_;
   NEG_ASSERT(acks_head_ == acks_.size() || acks_.back().effective <= effective,
              "ack effective times must be non-decreasing");
-  if (acks_head_ == acks_.size()) {  // drained: recycle storage
-    acks_.clear();
-    acks_head_ = 0;
-  }
+  compact(acks_, acks_head_);
   acks_.push_back(Ack{effective, flow, seq, f.cum_rx});
   return true;
 }
 
+Bytes HostTransport::below_window_bytes(const FlowState& f,
+                                        std::uint32_t idx) {
+  const auto it = std::lower_bound(
+      f.resent.begin(), f.resent.end(), idx,
+      [](const ResentUnit& r, std::uint32_t i) { return r.idx < i; });
+  NEG_ASSERT(it != f.resent.end() && it->idx == idx,
+             "second arrival of a unit sent once");
+  return it->bytes;
+}
+
 bool HostTransport::resolve_ack(FlowState& f, std::uint32_t idx) {
-  Unit& u = f.units[idx];
+  if (idx < f.cum_tx) return false;  // below the window: already acked
+  Unit& u = f.at(idx);
   switch (u.state) {
     case kInFlight:
       u.state = kAcked;
@@ -125,11 +147,17 @@ void HostTransport::flush_acks(Nanos now) {
     FlowState& f = flows_[static_cast<std::size_t>(a.flow)];
     bool progress = resolve_ack(f, a.seq - 1);
     // Cumulative part: everything below the receiver's contiguous
-    // watermark is implicitly acked.
-    for (std::uint32_t i = f.cum_tx; i < a.cum; ++i) {
-      progress = resolve_ack(f, i) || progress;
+    // watermark is implicitly acked and leaves the window; a retransmitted
+    // unit's size stays on record for a copy that may still trail in.
+    if (a.cum > f.cum_tx) {
+      for (std::uint32_t i = f.cum_tx; i < a.cum; ++i) {
+        progress = resolve_ack(f, i) || progress;
+        const Unit& u = f.at(i);
+        if (u.resent) f.resent.push_back(ResentUnit{i, u.bytes});
+      }
+      f.cum_tx = a.cum;
+      trim_window(f);
     }
-    f.cum_tx = std::max(f.cum_tx, a.cum);
     if (progress) {  // ack progress resets the backoff
       f.rto = base_rto_ns_;
       f.retries = 0;
@@ -137,11 +165,32 @@ void HostTransport::flush_acks(Nanos now) {
   }
 }
 
+void HostTransport::trim_window(FlowState& f) {
+  std::size_t dead = f.cum_tx - f.first;
+  compact(f.units, dead);
+  f.first = f.cum_tx - static_cast<std::uint32_t>(dead);
+  if (f.units.empty()) {
+    // Every unit acked, so every in-flight entry is stale too. Release
+    // the storage: a finished flow costs only its FlowState.
+    std::vector<Unit>().swap(f.units);
+    std::vector<InflightEntry>().swap(f.inflight);
+    f.inflight_head = 0;
+  }
+}
+
+std::size_t HostTransport::retained_units() const {
+  std::size_t n = 0;
+  for (const FlowState& f : flows_) n += f.units.size();
+  return n;
+}
+
 bool HostTransport::prune_inflight(FlowState& f) {
   while (f.inflight_head < f.inflight.size()) {
     const InflightEntry& e = f.inflight[f.inflight_head];
-    const Unit& u = f.units[e.idx];
-    if (u.state == kInFlight && u.sent_at == e.sent_at) return true;
+    if (e.idx >= f.cum_tx) {
+      const Unit& u = f.at(e.idx);
+      if (u.state == kInFlight && u.sent_at == e.sent_at) return true;
+    }
     ++f.inflight_head;  // stale: acked, abandoned, or re-sent since
   }
   return false;
@@ -149,14 +198,11 @@ bool HostTransport::prune_inflight(FlowState& f) {
 
 void HostTransport::queue_retx(FlowState& f, std::int32_t flow,
                                std::uint32_t idx) {
-  Unit& u = f.units[idx];
+  Unit& u = f.at(idx);
   u.state = kRetxPending;
   const std::size_t pair = pair_index(f.src, f.dst);
   RetxFifo& fifo = retx_[pair];
-  if (fifo.head == fifo.items.size()) {  // drained: recycle storage
-    fifo.items.clear();
-    fifo.head = 0;
-  }
+  compact(fifo.items, fifo.head);
   fifo.items.push_back(RetxEntry{flow, idx});
   if (retx_count_[pair]++ == 0 && !pair_listed_[pair]) {
     pair_listed_[pair] = 1;
@@ -244,7 +290,8 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
                "retx count says live entries but the FIFO is drained");
     const RetxEntry e = fifo.items[fifo.head++];
     FlowState& f = flows_[static_cast<std::size_t>(e.flow)];
-    Unit& u = f.units[e.idx];
+    if (e.idx < f.cum_tx) continue;  // stale: below the window
+    Unit& u = f.at(e.idx);
     if (u.state != kRetxPending) continue;  // stale: resolved while queued
     --retx_count_[pair];
     --retx_from_[static_cast<std::size_t>(src)];
@@ -252,11 +299,8 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
     retx_backlog_bytes_ -= u.bytes;
     u.state = kInFlight;
     u.sent_at = now;
-    ++u.attempts;
-    if (f.inflight_head == f.inflight.size()) {
-      f.inflight.clear();
-      f.inflight_head = 0;
-    }
+    u.resent = true;
+    compact(f.inflight, f.inflight_head);
     f.inflight.push_back(InflightEntry{e.idx, now});
     retransmitted_bytes_ += u.bytes;
     if (recorder_) recorder_->on_retransmit(u.bytes);

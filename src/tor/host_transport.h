@@ -18,6 +18,16 @@
 // pair — a retransmission is a first-hop transmission like any other
 // (it redraws the channel and can be lost again).
 //
+// Memory follows the live window, not the run: each flow keeps unit
+// records only from its sender watermark cum_tx upward (every unit below
+// cum_tx is both acked and delivered, so nothing can change its outcome),
+// and the head-consumed queues (in-flight lists, acks, retransmit FIFOs)
+// drop their consumed prefixes in amortized O(1). A copy that arrives
+// below the window can only duplicate a retransmitted unit: the byte
+// sizes of retransmitted units below the window stay in a sparse
+// per-flow list so that copy is still byte-checked, and a second arrival
+// of a unit sent once aborts.
+//
 // Timers are lazy, one armed timer per flow at most: a fire first
 // flushes acks, re-derives the flow's earliest real deadline, and either
 // re-arms (stale wakeup — not counted) or declares a genuine RTO: every
@@ -152,6 +162,11 @@ class HostTransport {
   std::int64_t max_backoff_reached() const { return max_backoff_reached_; }
   std::int64_t abandoned_units() const { return abandoned_units_; }
 
+  /// Unit records held across all send windows (a dead prefix awaiting
+  /// compaction included; the sparse record of retransmitted units below
+  /// the windows is not). Bounded by the live windows, not by the run.
+  std::size_t retained_units() const;
+
  private:
   enum UnitState : std::uint8_t {
     kInFlight,     // transmitted, awaiting ack
@@ -163,13 +178,20 @@ class HostTransport {
   struct Unit {
     Bytes bytes;
     Nanos sent_at;
-    std::uint16_t attempts{0};
     std::uint8_t state{kInFlight};
     bool delivered_rx{false};  // receiver reassembly bitmap
+    bool resent{false};  // retransmitted: a copy may trail the ack
   };
 
-  /// In-flight bookkeeping entry; stale once the unit left kInFlight or
-  /// was retransmitted (sent_at moved) — validity is re-checked lazily.
+  /// Byte size of a retransmitted unit below the window.
+  struct ResentUnit {
+    std::uint32_t idx;
+    Bytes bytes;
+  };
+
+  /// In-flight bookkeeping entry; stale once the unit left kInFlight, was
+  /// retransmitted (sent_at moved) or fell below the window — validity is
+  /// re-checked lazily.
   struct InflightEntry {
     std::uint32_t idx;
     Nanos sent_at;
@@ -178,15 +200,24 @@ class HostTransport {
   struct FlowState {
     TorId src{kInvalidTor};
     TorId dst{kInvalidTor};
-    std::vector<Unit> units;  // indexed by seq - 1
+    // Send window: units[i] is unit first + i (seq first + i + 1). The
+    // dead prefix below cum_tx is dropped by trim_window.
+    std::vector<Unit> units;
+    std::uint32_t first{0};
     std::vector<InflightEntry> inflight;  // sent_at non-decreasing
     std::size_t inflight_head{0};
+    std::vector<ResentUnit> resent;  // below the window, idx ascending
     std::uint32_t cum_rx{0};  // receiver: units [0, cum_rx) delivered
     std::uint32_t cum_tx{0};  // sender: units [0, cum_tx) acked
     std::int32_t pending{0};  // units currently kRetxPending (FIFO-queued)
     Nanos rto{0};
     int retries{0};
     bool timer_armed{false};
+
+    Unit& at(std::uint32_t idx) { return units[idx - first]; }
+    std::uint32_t end() const {
+      return first + static_cast<std::uint32_t>(units.size());
+    }
   };
 
   struct Ack {
@@ -202,8 +233,8 @@ class HostTransport {
   };
 
   /// One retransmit FIFO per (src, dst); entries may be stale (acked or
-  /// abandoned while queued) and are skipped at pop — retx_count_ holds
-  /// the live-entry truth.
+  /// abandoned while queued, or below the window) and are skipped at pop
+  /// — retx_count_ holds the live-entry truth.
   struct RetxFifo {
     std::vector<RetxEntry> items;
     std::size_t head{0};
@@ -221,6 +252,12 @@ class HostTransport {
   bool resolve_ack(FlowState& f, std::uint32_t idx);
   void queue_retx(FlowState& f, std::int32_t flow, std::uint32_t idx);
   void abandon_flow(FlowState& f);
+  /// Drops the dead prefix below cum_tx once it is at least as long as
+  /// the live rest (amortized O(1) per unit); releases the flow's storage
+  /// once every unit is acked.
+  void trim_window(FlowState& f);
+  /// Bytes of a unit below the window; aborts unless it was retransmitted.
+  static Bytes below_window_bytes(const FlowState& f, std::uint32_t idx);
 
   int num_tors_;
   Nanos prop_delay_ns_;

@@ -2,9 +2,13 @@
 // (tor/host_transport.h): sequence numbering, duplicate suppression,
 // cumulative+selective ack resolution, lazy RTO timers with exponential
 // backoff, retransmit FIFO round-trips, abandonment, and the
-// conservation-ledger bucket moves — plus full-fabric integration runs
+// conservation-ledger bucket moves, the send window's trim and its
+// retained-state bound — plus full-fabric integration runs
 // proving ARQ delivers everything under moderate loss on both fabrics.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/config.h"
 #include "common/rng.h"
@@ -286,6 +290,223 @@ TEST(HostTransport, RetxFifoIsServedInOrderAcrossFlowsOfAPair) {
   EXPECT_EQ(t.take_retx(1, 2, rto).flow, 0);
   EXPECT_EQ(t.take_retx(1, 2, rto).flow, 3);
   EXPECT_FALSE(t.has_retx(1, 2));
+}
+
+// --- The send window: state below cum_tx is dropped, checks stay whole ---
+
+TEST(HostTransport, SequenceNumbersContinueAfterATrim) {
+  NetworkConfig cfg = arq_config();
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  for (std::uint32_t seq = 1; seq <= 4; ++seq) {
+    EXPECT_EQ(t.on_transmit(0, 1, 2, 100, 0), seq);
+    EXPECT_TRUE(t.on_deliver(0, seq, 100, 10));
+  }
+  EXPECT_EQ(t.retained_units(), 4u);
+  t.flush_acks(10 + prop);
+  EXPECT_EQ(t.retained_units(), 0u) << "an acked window is released";
+  EXPECT_EQ(t.on_transmit(0, 1, 2, 100, 20), 5u) << "numbering continues";
+  EXPECT_EQ(t.retained_units(), 1u);
+  EXPECT_TRUE(t.on_deliver(0, 5, 100, 30));
+  EXPECT_EQ(t.delivered_bytes(), 500);
+  EXPECT_EQ(t.unresolved_bytes(), 0);
+}
+
+TEST(HostTransport, TakeRetxSkipsAStaleFifoEntryBelowTheWindow) {
+  NetworkConfig cfg = arq_config();
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  t.on_transmit(0, 1, 2, 100, 0);
+  t.on_transmit(3, 1, 2, 300, 0);  // same pair, queued behind flow 0
+  EXPECT_TRUE(t.on_timer(0, rto));
+  EXPECT_TRUE(t.on_timer(3, rto));
+  // Flow 0's original copy lands late: its ack slides the window past
+  // the queued unit, releasing the flow's storage under the FIFO entry.
+  EXPECT_TRUE(t.on_deliver(0, 1, 100, rto + 1));
+  t.flush_acks(rto + 1 + prop);
+  EXPECT_EQ(t.retained_units(), 1u) << "only flow 3's unit is held";
+  // A fresh unit takes the next index; the stale entry must not alias it.
+  EXPECT_EQ(t.on_transmit(0, 1, 2, 200, rto + 2 + prop), 2u);
+  const HostTransport::RetxChunk r = t.take_retx(1, 2, rto + 3 + prop);
+  EXPECT_EQ(r.flow, 3);
+  EXPECT_EQ(r.bytes, 300);
+  EXPECT_FALSE(t.has_retx(1, 2));
+  EXPECT_EQ(t.retx_backlog_bytes(), 0);
+}
+
+TEST(HostTransport, PruneInflightSkipsAnEntryBelowTheWindow) {
+  NetworkConfig cfg = arq_config();
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  t.on_transmit(0, 1, 2, 100, 0);        // timer armed for t=rto
+  t.on_transmit(0, 1, 2, 100, rto / 2);  // still in flight at t=rto
+  EXPECT_TRUE(t.on_deliver(0, 1, 100, 10));
+  t.flush_acks(10 + prop);
+  EXPECT_EQ(t.retained_units(), 1u) << "unit 1 trimmed, its entry stays";
+  // The timer's prune walks past unit 1's in-flight entry (below the
+  // window) to unit 2, whose deadline has not come: a stale wakeup.
+  EXPECT_FALSE(t.on_timer(0, rto));
+  EXPECT_EQ(t.rto_fires(), 0);
+  EXPECT_TRUE(t.on_timer(0, rto / 2 + rto));
+  EXPECT_EQ(t.rto_fires(), 1);
+  EXPECT_EQ(t.take_retx(1, 2, rto / 2 + rto).seq, 2u);
+}
+
+TEST(HostTransport, AnAbandonedFlowKeepsItsUnitsInsideTheWindow) {
+  NetworkConfig cfg = arq_config();
+  cfg.data_fault.max_retries = 0;
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  t.on_transmit(0, 1, 2, 100, 0);
+  t.on_transmit(0, 1, 2, 200, 0);
+  EXPECT_TRUE(t.on_deliver(0, 2, 200, 10));  // a hole stays at unit 1
+  t.flush_acks(10 + prop);
+  EXPECT_FALSE(t.on_timer(0, rto));
+  EXPECT_EQ(t.abandoned_units(), 1);
+  EXPECT_EQ(t.retained_units(), 2u) << "the window cannot pass the hole";
+  // A straggling copy of the abandoned unit is still recognised.
+  EXPECT_FALSE(t.on_deliver(0, 1, 100, 2 * rto));
+  EXPECT_EQ(t.spurious_retx(), 1);
+  EXPECT_EQ(t.on_transmit(0, 1, 2, 300, 2 * rto), 3u);
+  EXPECT_EQ(t.retained_units(), 3u);
+}
+
+TEST(HostTransport, CopyOfARetransmittedUnitBelowTheWindowIsByteChecked) {
+  NetworkConfig cfg = arq_config();
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  t.on_transmit(0, 1, 2, 100, 0);
+  EXPECT_TRUE(t.on_timer(0, rto));
+  t.take_retx(1, 2, rto);
+  // The retransmission lands first; its ack releases the whole window.
+  EXPECT_TRUE(t.on_deliver(0, 1, 100, rto + 10));
+  t.flush_acks(rto + 10 + prop);
+  EXPECT_EQ(t.retained_units(), 0u);
+  // The original copy trails in below the window: spurious, no credit.
+  EXPECT_FALSE(t.on_deliver(0, 1, 100, rto + 20 + prop));
+  EXPECT_EQ(t.spurious_retx(), 1);
+  EXPECT_EQ(t.delivered_bytes(), 100);
+  EXPECT_DEATH(t.on_deliver(0, 1, 99, rto + 30 + prop),
+               "partial delivery of an ARQ unit");
+}
+
+TEST(HostTransport, CopyBelowTheWindowIsCheckedBeforeCompaction) {
+  // The dead prefix below cum_tx is compacted lazily; a copy that lands
+  // in it gets the same below-window treatment as a trimmed one.
+  NetworkConfig cfg = arq_config();
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  t.on_transmit(0, 1, 2, 100, 0);
+  EXPECT_TRUE(t.on_timer(0, rto));
+  t.take_retx(1, 2, rto);
+  t.on_transmit(0, 1, 2, 200, rto);
+  t.on_transmit(0, 1, 2, 300, rto);
+  EXPECT_TRUE(t.on_deliver(0, 1, 100, rto + 10));
+  t.flush_acks(rto + 10 + prop);
+  EXPECT_EQ(t.retained_units(), 3u) << "one dead unit of three stays";
+  EXPECT_FALSE(t.on_deliver(0, 1, 100, rto + 20 + prop));
+  EXPECT_EQ(t.spurious_retx(), 1);
+  EXPECT_DEATH(t.on_deliver(0, 1, 101, rto + 30 + prop),
+               "partial delivery of an ARQ unit");
+}
+
+TEST(HostTransport, SecondArrivalOfAUnitSentOnceAfterItsTrimAborts) {
+  NetworkConfig cfg = arq_config();
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  t.on_transmit(0, 1, 2, 100, 0);
+  EXPECT_TRUE(t.on_deliver(0, 1, 100, 10));
+  t.flush_acks(10 + prop);
+  EXPECT_DEATH(t.on_deliver(0, 1, 100, 20 + prop),
+               "second arrival of a unit sent once");
+}
+
+/// Forwards the queue's timer events to the transport, as a fabric does.
+class TimerSink : public EventSink {
+ public:
+  explicit TimerSink(HostTransport* t) : t_(t) {}
+  void on_flow_arrival(const FlowArrivalEvent&, Nanos) override {}
+  void on_link_toggle(const LinkToggleEvent&, Nanos) override {}
+  void on_relay_handoff(const RelayHandoffEvent&, Nanos) override {}
+  void on_relay_train(const RelayTrainEvent&, const RelayTrainChunk*,
+                      Nanos) override {}
+  void on_transport_timer(const TransportTimerEvent& e, Nanos now) override {
+    t_->on_timer(e.flow_index, now);
+  }
+
+ private:
+  HostTransport* t_;
+};
+
+TEST(HostTransport, RetainedStateFollowsTheLiveWindowNotTheRun) {
+  // Memory witness: one long flow at 1% steady loss, driven through
+  // transmit, delivery, ack flushes, RTO timers and retransmit service.
+  // The units held stay within a small multiple of the unresolved ones
+  // at every step, so they cannot grow with the units ever sent.
+  constexpr std::int64_t kUnits = 1'000'000;
+  constexpr Bytes kBytes = 100;
+  NetworkConfig cfg = arq_config();
+  const Nanos rto = base_rto(cfg);
+  const Nanos step = rto / 16;
+  const Nanos delay = rto / 2;  // one-way delivery latency
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  TimerSink sink(&t);
+  q.set_sink(&sink);
+  Rng loss(5);
+  struct Arrival {
+    Nanos at;
+    std::uint32_t seq;
+  };
+  std::vector<Arrival> arrivals;  // `at` non-decreasing: constant delay
+  std::size_t next_arrival = 0;
+  auto send = [&](std::uint32_t seq, Nanos now) {
+    if (loss.next_double() >= 0.01) arrivals.push_back({now + delay, seq});
+  };
+  std::size_t peak = 0;
+  std::int64_t sent = 0;
+  Nanos now = 0;
+  for (; sent < kUnits || t.unresolved_bytes() > 0 || t.retained_units() > 0;
+       now += step) {
+    q.run_until(now);
+    while (t.has_retx(1, 2)) send(t.take_retx(1, 2, now).seq, now);
+    if (sent < kUnits) {
+      send(t.on_transmit(0, 1, 2, kBytes, now), now);
+      ++sent;
+    }
+    for (; next_arrival < arrivals.size() && arrivals[next_arrival].at <= now;
+         ++next_arrival) {
+      t.on_deliver(0, arrivals[next_arrival].seq, kBytes, now);
+    }
+    t.flush_acks(now);
+    const std::size_t held = t.retained_units();
+    const auto unresolved =
+        static_cast<std::size_t>(t.unresolved_bytes() / kBytes);
+    peak = std::max(peak, held);
+    // A loss holds the window open for an RTO plus the repair's trip,
+    // about 4x the units in flight; lazy compaction at most doubles it.
+    // The constant covers the drain, when only acks are outstanding.
+    ASSERT_LE(held, 12 * unresolved + 8) << "at unit " << sent;
+    ASSERT_LT(now, 2 * kUnits * step) << "the flow never drained";
+  }
+  EXPECT_EQ(sent, kUnits);
+  EXPECT_EQ(t.abandoned_units(), 0);
+  EXPECT_EQ(t.delivered_bytes(), kUnits * kBytes);
+  EXPECT_GT(t.retransmitted_bytes(), 0) << "the loss really happened";
+  EXPECT_LT(peak, 1'000u) << "held units must not grow with the run";
+  EXPECT_EQ(t.retained_units(), 0u) << "a drained flow releases its window";
 }
 
 /// Integration bar (both fabrics): at moderate loss, ARQ re-delivers every
